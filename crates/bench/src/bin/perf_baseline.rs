@@ -1,12 +1,12 @@
 //! **perf_baseline** — the committed performance trajectory of the
 //! simulator hot path.
 //!
-//! Times fifteen fixed scenarios that together cover every layer the
+//! Times fourteen fixed scenarios that together cover every layer the
 //! experiments exercise — end-to-end rendezvous runs under two adversaries,
 //! raw trajectory-cursor streaming, the memoized symmetry-quotiented
-//! minimax search (shallow reference depths, the depth-14 headline the
-//! plain enumeration cannot reach, and a worker-count scaling sweep at
-//! 1/2/4/8), a protocol-mode SGL run with search-style snapshot
+//! minimax search (shallow reference depths, and a ring(4) horizon curve
+//! at depths 14/20/28/40 that plain enumeration cannot reach), a
+//! protocol-mode SGL run with search-style snapshot
 //! checkpoints, the detector-on divergent matrix slice (the 18
 //! rendezvous cells the divergence detector retires early), the
 //! certified large-order SGL quiescence headline (`sgl_quiesce/ring16`),
@@ -39,17 +39,16 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// The scenarios a baseline file must cover, in reporting order.
-pub const SCENARIOS: [&str; 15] = [
+pub const SCENARIOS: [&str; 14] = [
     "f1_rendezvous/ring12/greedy-avoid",
     "f1_rendezvous/ring12/lazy-second",
     "cursor_stream/gnp16/B8",
     "minimax/path3/depth10",
     "minimax/ring4/depth8",
     "minimax/ring4/depth14",
-    "minimax_scaling/w1",
-    "minimax_scaling/w2",
-    "minimax_scaling/w4",
-    "minimax_scaling/w8",
+    "minimax/ring4/depth20",
+    "minimax/ring4/depth28",
+    "minimax/ring4/depth40",
     "sgl/ring8/k3",
     "matrix_slice/diverge18",
     "sgl_quiesce/ring16",
@@ -101,9 +100,8 @@ fn main() {
         cursor_scenario(trials),
         minimax_scenario(trials),
         minimax_ring_scenario(trials),
-        minimax_deep_scenario(trials),
     ];
-    records.extend(minimax_scaling_scenarios(trials));
+    records.extend(minimax_horizon_scenarios(trials));
     records.push(sgl_protocol_scenario(trials));
     records.push(matrix_slice_scenario(trials));
     records.push(sgl_quiesce_scenario(trials));
@@ -214,9 +212,8 @@ fn minimax_scenario(trials: usize) -> Record {
 }
 
 /// Memoized worst-case search on ring(4), horizon 8 — a wider schedule
-/// tree than `path3` (both agents stay mobile on a cycle), so the search's
-/// depth-≥2 frontier split carries real work on every branch, quotiented
-/// by the ring's full dihedral group. Golden leaf count 196.
+/// tree than `path3` (both agents stay mobile on a cycle), quotiented by
+/// the ring's full dihedral group. Golden leaf count 196.
 fn minimax_ring_scenario(trials: usize) -> Record {
     let uxs = SeededUxs::quadratic();
     let g = rv_graph::generators::ring(4);
@@ -232,12 +229,20 @@ fn minimax_ring_scenario(trials: usize) -> Record {
     })
 }
 
-/// Memoized search on ring(4) to horizon 14 — the depth plain enumeration
-/// does not reach in interactive time (the unmemoized tree is hundreds of
-/// times the depth-8 one; the transposition table collapses it to
-/// milliseconds). Tracks the headline *capability* the table buys, not
-/// just the speedup on trees the old search could already finish.
-fn minimax_deep_scenario(trials: usize) -> Record {
+/// The ring(4) horizon curve: the memoized search at depths 14, 20, 28
+/// and 40, quotiented by the ring's dihedral group. Plain enumeration
+/// does not reach these depths in interactive time (depth 40 has
+/// 8.1×10¹⁰ leaves); the transposition table keeps the work roughly
+/// linear in depth, which is what the curve records. Each scenario
+/// asserts its exact leaf count inside the timed body, so the baseline
+/// can never silently time a semantically different search.
+fn minimax_horizon_scenarios(trials: usize) -> Vec<Record> {
+    const CURVE: [(usize, u64); 4] = [
+        (14, 11_284),
+        (20, 467_738),
+        (28, 79_428_362),
+        (40, 81_323_128_862),
+    ];
     let uxs = SeededUxs::quadratic();
     let g = rv_graph::generators::ring(4);
     let autos = GraphFamily::Ring.automorphisms(&g);
@@ -245,37 +250,13 @@ fn minimax_deep_scenario(trials: usize) -> Record {
         automorphisms: Some(&autos),
         ..SearchOptions::default()
     };
-    measure(SCENARIOS[5], "search", trials, 1, 1, || {
-        let report = search_worst_case(&g, || minimax_agents(&g, uxs), 14, &opts);
-        assert!(report.worst.schedules_explored > 0);
-        std::hint::black_box(report.worst.schedules_explored);
-    })
-}
-
-/// The multi-core scaling sweep: the same memoized ring(4)/depth-12
-/// search at fixed worker counts 1, 2, 4 and 8, each reported as its own
-/// scenario so the baseline records an actual scaling curve instead of
-/// one auto-sized number. On a single-core host the curve is flat to
-/// slightly worse — oversubscribed workers add steal and shard-lock
-/// traffic without adding cores — and the baseline records that honestly;
-/// the bit-identity contract (golden leaf count 2836 at every width) is
-/// asserted inside the timed body.
-fn minimax_scaling_scenarios(trials: usize) -> Vec<Record> {
-    let uxs = SeededUxs::quadratic();
-    let g = rv_graph::generators::ring(4);
-    let autos = GraphFamily::Ring.automorphisms(&g);
-    [1usize, 2, 4, 8]
+    CURVE
         .iter()
         .enumerate()
-        .map(|(i, &w)| {
-            let opts = SearchOptions {
-                workers: Some(w),
-                automorphisms: Some(&autos),
-                ..SearchOptions::default()
-            };
-            measure(SCENARIOS[6 + i], "search", trials, 1, 1, || {
-                let report = search_worst_case(&g, || minimax_agents(&g, uxs), 12, &opts);
-                assert_eq!(report.worst.schedules_explored, 2836, "golden leaf count");
+        .map(|(i, &(depth, leaves))| {
+            measure(SCENARIOS[5 + i], "search", trials, 1, 1, || {
+                let report = search_worst_case(&g, || minimax_agents(&g, uxs), depth, &opts);
+                assert_eq!(report.worst.schedules_explored, leaves, "golden leaf count");
                 std::hint::black_box(report.worst.schedules_explored);
             })
         })
@@ -297,7 +278,7 @@ fn sgl_protocol_scenario(trials: usize) -> Record {
     let uxs = SeededUxs::quadratic();
     let g = GraphFamily::Ring.generate(8, 5);
     let labels: [u64; 3] = [6, 9, 14];
-    measure(SCENARIOS[10], "run", trials, 5, 1, || {
+    measure(SCENARIOS[9], "run", trials, 5, 1, || {
         let agents: Vec<_> = labels
             .iter()
             .enumerate()
@@ -368,7 +349,7 @@ fn matrix_slice_scenario(trials: usize) -> Record {
         .iter()
         .map(|&(fam, n, _)| fam.generate(n, 5))
         .collect();
-    measure(SCENARIOS[11], "run", trials, 2, 18, || {
+    measure(SCENARIOS[10], "run", trials, 2, 18, || {
         for (i, &(_, _, kind)) in slice.iter().enumerate() {
             let g = &graphs[i];
             let agents = vec![
@@ -406,7 +387,7 @@ fn sgl_quiesce_scenario(trials: usize) -> Record {
     let uxs = SeededUxs::quadratic();
     let g = GraphFamily::Ring.generate(16, 5);
     let labels: [u64; 2] = [6, 9];
-    measure(SCENARIOS[12], "run", trials, 1, 1, || {
+    measure(SCENARIOS[11], "run", trials, 1, 1, || {
         let agents: Vec<_> = labels
             .iter()
             .enumerate()
@@ -504,22 +485,22 @@ fn sgl_stalled_slice_scenarios(trials: usize) -> Vec<Record> {
     let (m_off, m_on) = (median(off), median(on));
     println!(
         "{}: median {m_off:.2} ns/run ({trials} trials x 1 ops)",
-        SCENARIOS[13]
+        SCENARIOS[12]
     );
     println!(
         "{}: median {m_on:.2} ns/run ({trials} trials x 1 ops)",
-        SCENARIOS[14]
+        SCENARIOS[13]
     );
     vec![
         Record {
-            scenario: SCENARIOS[13].to_string(),
+            scenario: SCENARIOS[12].to_string(),
             median_ns_per_op: m_off,
             trials,
             ops_per_trial: 1,
             unit: "run".to_string(),
         },
         Record {
-            scenario: SCENARIOS[14].to_string(),
+            scenario: SCENARIOS[13].to_string(),
             median_ns_per_op: m_on,
             trials,
             ops_per_trial: 1,

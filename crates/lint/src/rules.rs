@@ -8,7 +8,7 @@
 //! | determinism | `det-hash-collections`, `det-wall-clock`, `det-thread-id` |
 //! | panic-safety | `panic-bare-unwrap`, `panic-bare-macro`, `panic-catch-unwind-recovery` |
 //! | concurrency | `atomics-ordering-comment`, `unsafe-needs-safety-comment`, `crate-forbids-unsafe` |
-//! | api-misuse | `api-meetinglog-to-vec`, `api-lock-across-dispatch`, `api-memo-reserve-publish`, `api-atomic-output-write` |
+//! | api-misuse | `api-meetinglog-to-vec`, `api-atomic-output-write` |
 //!
 //! See `docs/LINTS.md` for the rationale and an example per rule.
 
@@ -25,16 +25,6 @@ pub const FINGERPRINT_CRATES: &[&str] = &["sim", "protocols", "trajectory", "cor
 /// COW `MeetingLog` / ESST walk machinery whose whole point is not
 /// materialising views.
 pub const NO_TO_VEC_CRATES: &[&str] = &["sim", "protocols", "explore"];
-
-/// The only file allowed to consult worker/thread identity, and the
-/// functions in it that dispatch a stealing-frontier `Job` (no `Mutex`
-/// guard may be live across a call to one of these).
-pub const MINIMAX_PATH: &str = "crates/sim/src/minimax.rs";
-const DISPATCH_FNS: &[&str] = &["run_job", "split_job", "explore_subtree", "explore_memo"];
-
-/// Crates owning the transposition table: every `.publish(…)`/`.release(…)`
-/// call there must document which reservation it settles.
-pub const MEMO_TABLE_CRATES: &[&str] = &["sim"];
 
 /// Source tree whose binaries write results artifacts (row files, metadata,
 /// checkpoints) that chaos gates SIGKILL mid-write: every output write there
@@ -104,8 +94,6 @@ pub fn run_all(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     unsafe_needs_safety_comment(ctx, out);
     crate_forbids_unsafe(ctx, out);
     api_to_vec(ctx, out);
-    api_lock_across_dispatch(ctx, out);
-    api_memo_reserve_publish(ctx, out);
     api_atomic_output_write(ctx, out);
 }
 
@@ -122,8 +110,6 @@ pub const ALL_RULES: &[&str] = &[
     "unsafe-needs-safety-comment",
     "crate-forbids-unsafe",
     "api-meetinglog-to-vec",
-    "api-lock-across-dispatch",
-    "api-memo-reserve-publish",
     "api-atomic-output-write",
 ];
 
@@ -183,13 +169,9 @@ fn det_wall_clock(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// `det-thread-id`: `thread::current().id()`-derived logic is banned
-/// outside the minimax worker loop — results must be worker-count- and
-/// scheduler-independent.
+/// `det-thread-id`: `thread::current().id()`-derived logic is banned in
+/// library code — results must not depend on which thread runs what.
 fn det_thread_id(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.rel_path == MINIMAX_PATH {
-        return;
-    }
     let toks = &ctx.lexed.tokens;
     for i in 0..toks.len() {
         if !ctx.shipping_code(toks[i].line) {
@@ -205,7 +187,7 @@ fn det_thread_id(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 ctx.finding(
                     toks[i].line,
                     "det-thread-id",
-                    "thread-identity-dependent logic outside the minimax worker loop: \
+                    "thread-identity-dependent logic in library code: \
                  results must not depend on which thread runs what"
                         .to_string(),
                 ),
@@ -414,108 +396,6 @@ fn api_to_vec(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// `api-lock-across-dispatch`: in `minimax.rs`, a `Mutex` guard bound by
-/// `let` must not still be in scope at a call to a `Job`-dispatching or
-/// subtree-exploring function
-/// (`run_job`/`split_job`/`explore_subtree`/`explore_memo`). A guard held across
-/// a subtree search serialises the stealing frontier (the PR 5 regression
-/// class). The heuristic is conservative: only bindings whose initialiser
-/// *ends* in `.lock()` (optionally `.expect(…)`/`.unwrap()`) are treated
-/// as guards, and an intervening `drop(guard)` clears them.
-fn api_lock_across_dispatch(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.rel_path != MINIMAX_PATH {
-        return;
-    }
-    let toks = &ctx.lexed.tokens;
-    let mut depth = 0i32;
-    let mut i = 0usize;
-    // Live guards: (binding name, brace depth of the binding).
-    let mut guards: Vec<(String, i32)> = Vec::new();
-    while i < toks.len() {
-        match toks[i].kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth -= 1;
-                guards.retain(|&(_, d)| d <= depth);
-            }
-            TokKind::Ident => {
-                let t = &toks[i];
-                if t.text == "let" {
-                    if let Some((names, end)) = guard_binding(toks, i) {
-                        guards.extend(names.into_iter().map(|n| (n, depth)));
-                        i = end;
-                        continue;
-                    }
-                } else if t.text == "drop" && toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-                    if let Some(arg) = toks.get(i + 2) {
-                        guards.retain(|(n, _)| n != &arg.text);
-                    }
-                } else if DISPATCH_FNS.contains(&t.text.as_str())
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-                    && !guards.is_empty()
-                {
-                    let (name, _) = &guards[0];
-                    out.push(ctx.finding(
-                        t.line,
-                        "api-lock-across-dispatch",
-                        format!(
-                            "`{}` called while the `Mutex` guard `{name}` is still \
-                             live: a lock held across a Job dispatch serialises the \
-                             stealing frontier — drop the guard first",
-                            t.text
-                        ),
-                    ));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
-/// `api-memo-reserve-publish`: in the crate owning the transposition
-/// table, every `.publish(…)` / `.release(…)` call must carry an adjacent
-/// `// publish:` comment (same line or the block directly above) naming
-/// the reservation it completes or abandons. The reserve/publish protocol
-/// is what keeps workers from duplicating a reserved subtree and what the
-/// panic-recovery journal unwinds; an unannotated settle site is where a
-/// leaked or double-completed reservation hides. No test exemption — the
-/// protocol examples in `memo.rs` tests document themselves the same way.
-fn api_memo_reserve_publish(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if !ctx.in_crate(MEMO_TABLE_CRATES) {
-        return;
-    }
-    let toks = &ctx.lexed.tokens;
-    for i in 0..toks.len() {
-        if !toks[i].is_punct('.') {
-            continue;
-        }
-        let is_settle = toks
-            .get(i + 1)
-            .is_some_and(|t| t.is_ident("publish") || t.is_ident("release"));
-        if !is_settle || !toks.get(i + 2).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        let name = &toks[i + 1];
-        if !ctx
-            .lexed
-            .adjacent_comment_text(name.line)
-            .to_lowercase()
-            .contains("publish:")
-        {
-            out.push(ctx.finding(
-                name.line,
-                "api-memo-reserve-publish",
-                format!(
-                    "`.{}(…)` without an adjacent `// publish:` comment naming \
-                     the table reservation this call completes or abandons",
-                    name.text
-                ),
-            ));
-        }
-    }
-}
-
 /// `api-atomic-output-write`: in the experiment-binary tree
 /// (`crates/bench/src`), no direct `fs::write(…)` or `File::create(…)`.
 /// The chaos gates SIGKILL these binaries mid-sweep, and a torn half-written
@@ -556,88 +436,6 @@ fn api_atomic_output_write(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             ));
         }
     }
-}
-
-/// If the `let` statement starting at `toks[i]` binds a `Mutex` guard
-/// (initialiser ends in `.lock()` / `.lock().expect(…)` / `.lock().unwrap()`
-/// right before `;`), returns the bound names and the index of the `;`.
-fn guard_binding(toks: &[Token], i: usize) -> Option<(Vec<String>, usize)> {
-    let mut names = Vec::new();
-    let mut j = i + 1;
-    // Pattern region: up to `=` (stop early at `;` — a `let … else` or
-    // bindingless form we don't model).
-    while j < toks.len() && !toks[j].is_punct('=') {
-        if toks[j].is_punct(';') {
-            return None;
-        }
-        // Stop collecting names once a type annotation starts.
-        if toks[j].is_punct(':') {
-            while j < toks.len() && !toks[j].is_punct('=') && !toks[j].is_punct(';') {
-                j += 1;
-            }
-            break;
-        }
-        if toks[j].kind == TokKind::Ident && toks[j].text != "mut" {
-            names.push(toks[j].text.clone());
-        }
-        j += 1;
-    }
-    if names.is_empty() {
-        return None;
-    }
-    // Initialiser region: scan to the `;` that closes the statement
-    // (tracking nesting so `;`s inside closures don't end it early).
-    let mut nest = 0i32;
-    let mut end = None;
-    let init_start = j;
-    while j < toks.len() {
-        match toks[j].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => nest += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => nest -= 1,
-            TokKind::Punct(';') if nest == 0 => {
-                end = Some(j);
-                break;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    let end = end?;
-    let init = &toks[init_start..end];
-    if ends_in_lock_chain(init) {
-        Some((names, end))
-    } else {
-        None
-    }
-}
-
-/// Whether a token slice ends with `.lock()`, `.lock().expect(<lit>)` or
-/// `.lock().unwrap()`.
-fn ends_in_lock_chain(init: &[Token]) -> bool {
-    let n = init.len();
-    let ends_with_call = |k: usize, name: &str, args: usize| -> bool {
-        // `. name ( …args… )` occupying the last `3 + args` tokens.
-        let w = 4 + args;
-        if k < w {
-            return false;
-        }
-        init[k - w].is_punct('.')
-            && init[k - w + 1].is_ident(name)
-            && init[k - w + 2].is_punct('(')
-            && init[k - 1].is_punct(')')
-    };
-    if ends_with_call(n, "lock", 0) {
-        return true;
-    }
-    for (name, args) in [("expect", 1), ("unwrap", 0)] {
-        if ends_with_call(n, name, args) {
-            let rest = n - (4 + args);
-            if ends_with_call(rest, "lock", 0) {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 /// True if `toks` starts with exactly the punctuation run `run`.

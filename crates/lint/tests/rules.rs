@@ -83,16 +83,6 @@ fn api_meetinglog_to_vec_fixture() {
 }
 
 #[test]
-fn api_lock_across_dispatch_fixture() {
-    assert_fixture_triggers("api_lock_across_dispatch.rs", "api-lock-across-dispatch", 1);
-}
-
-#[test]
-fn api_memo_reserve_publish_fixture() {
-    assert_fixture_triggers("api_memo_reserve_publish.rs", "api-memo-reserve-publish", 1);
-}
-
-#[test]
 fn api_atomic_output_write_fixture() {
     assert_fixture_triggers("api_atomic_output_write.rs", "api-atomic-output-write", 2);
 }
@@ -148,6 +138,23 @@ pub fn f(m: &std::collections::HashMap<u8, u8>) -> usize { m.len() }
     assert!(
         report.findings.is_empty(),
         "rv_graph is not fingerprint-feeding, got {:#?}",
+        report.findings
+    );
+}
+
+#[test]
+fn det_thread_id_has_no_minimax_exemption() {
+    // The minimax search is single-threaded: no library file may branch
+    // on thread identity, the search included.
+    let src = "\
+// lint-fixture: as=crates/sim/src/minimax.rs
+pub fn f() -> std::thread::ThreadId { std::thread::current().id() }
+";
+    let report = scan_src("thread_id_minimax", src);
+    assert_eq!(
+        report.findings.iter().map(|f| f.rule).collect::<Vec<_>>(),
+        vec!["det-thread-id"],
+        "got {:#?}",
         report.findings
     );
 }

@@ -50,8 +50,8 @@
 //!   behavior construction (fresh cursors, cold length memos).
 //! * [`Runtime::restore`] returns to a **mid-run** state frozen earlier by
 //!   [`Runtime::snapshot`] — use it to branch execution from a common
-//!   prefix (the minimax search), to retry a suffix, or to hand a state to
-//!   another thread ([`Runtime::from_snapshot`]). Behaviors come back via
+//!   prefix (the minimax search), to retry a suffix, or to start a second
+//!   runtime from it ([`Runtime::from_snapshot`]). Behaviors come back via
 //!   [`Behavior::fork`] in O(state) with all accumulated context intact:
 //!   no prefix replay, no reconstruction.
 //!

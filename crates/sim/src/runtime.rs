@@ -15,8 +15,8 @@
 //! [`Runtime::snapshot`] freezes the complete mid-run state (forking every
 //! behavior per the [`Behavior::fork`] contract) into a
 //! [`RuntimeSnapshot`], and [`Runtime::restore`] /
-//! [`Runtime::from_snapshot`] re-enter that state — on the same runtime,
-//! a fresh one, or another thread — without replaying the schedule prefix.
+//! [`Runtime::from_snapshot`] re-enter that state — on the same runtime
+//! or a fresh one — without replaying the schedule prefix.
 //! [`Runtime::reset`] is the other rewind: back to the *initial* state
 //! with brand-new behaviors (see its docs for the reset-vs-restore rule of
 //! thumb).
@@ -257,9 +257,8 @@ impl EdgeOcc {
 /// any number of times) by [`Runtime::restore`] and
 /// [`Runtime::from_snapshot`].
 ///
-/// The snapshot does not borrow the runtime or the graph, so it can be
-/// moved across threads (it is `Send` whenever the behavior is) — the
-/// minimax search ships frontier snapshots to worker threads this way.
+/// The snapshot does not borrow the runtime or the graph, so it outlives
+/// both and is `Send` whenever the behavior is.
 #[derive(Debug)]
 pub struct RuntimeSnapshot<B> {
     pub(crate) slots: Vec<Slot<B>>,
@@ -440,9 +439,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 
     /// Builds a fresh runtime positioned at the mid-run state captured by
-    /// `snap` — the cross-thread entry point of the parallel minimax
-    /// search, whose workers receive snapshots instead of behavior
-    /// factories.
+    /// `snap`, without the behavior factory that built the original.
     ///
     /// # Panics
     ///
@@ -469,8 +466,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
 
     /// Like [`Runtime::from_snapshot`], but consumes the snapshot and moves
     /// its state in without forking — the cheap constructor when the
-    /// snapshot has no further use (a search worker entering its first
-    /// owned job). Mirrors the [`Runtime::restore`] /
+    /// snapshot has no further use. Mirrors the [`Runtime::restore`] /
     /// [`Runtime::restore_owned`] pairing.
     ///
     /// # Panics
