@@ -82,11 +82,10 @@ fn main() {
                     let mut rt =
                         Runtime::new(&g, agents, RunConfig::rendezvous().with_cutoff(CUTOFF));
                     let mut adv = adversary.build(3);
-                    let mut meetings = Vec::new();
                     let mut piece_entry_costs: Vec<(u64, u64)> = Vec::new(); // (piece, cost)
                     let mut last_piece = 0u64;
                     let end = loop {
-                        if let Some(end) = rt.step(adv.as_mut(), &mut meetings) {
+                        if let Some(end) = rt.step(adv.as_mut()) {
                             break end;
                         }
                         let p = rt.behavior(0).piece().max(rt.behavior(1).piece());

@@ -86,11 +86,10 @@ fn trace_outlier(fname: &str, k: usize, kind: AdversaryKind) {
         RunConfig::protocol().with_cutoff(2_500_000),
     );
     let mut adv = kind.build(ADVERSARY_SEED);
-    let mut meetings = Vec::new();
     let mut next_report = 1000u64;
     println!("=== {fname}8/{kind}/sgl-k{k} ===");
     let end = loop {
-        if let Some(end) = rt.step(adv.as_mut(), &mut meetings) {
+        if let Some(end) = rt.step(adv.as_mut()) {
             break end;
         }
         if rt.total_traversals() >= next_report {
@@ -152,13 +151,12 @@ fn silent_windows() {
                         RunConfig::protocol().with_cutoff(2_500_000),
                     );
                     let mut adv = kind.build(ADVERSARY_SEED);
-                    let mut meetings = Vec::new();
                     let mut last_sum = 0u64;
                     let mut action_at_advance = 0u64;
                     let mut longest = (0u64, 0u64); // (length, start)
                     let mut worst_ratio = 0f64;
                     let end = loop {
-                        if let Some(end) = rt.step(adv.as_mut(), &mut meetings) {
+                        if let Some(end) = rt.step(adv.as_mut()) {
                             break end;
                         }
                         let sum: u64 = (0..rt.agent_count())
@@ -214,13 +212,12 @@ fn large(fname: &str, n: usize, k: usize, kind: AdversaryKind) {
         RunConfig::protocol().with_cutoff(u64::MAX),
     );
     let mut adv = kind.build(ADVERSARY_SEED);
-    let mut meetings = Vec::new();
     let mut last_sum = 0u64;
     let mut action_at_advance = 0u64;
     let mut longest = (0u64, 0u64);
     let start = Instant::now();
     let end = loop {
-        if let Some(end) = rt.step(adv.as_mut(), &mut meetings) {
+        if let Some(end) = rt.step(adv.as_mut()) {
             break end;
         }
         let sum: u64 = (0..rt.agent_count())
@@ -262,12 +259,11 @@ fn outlier_deep(fname: &str, k: usize, kind: AdversaryKind, cutoff: u64) {
         RunConfig::protocol().with_cutoff(cutoff),
     );
     let mut adv = kind.build(ADVERSARY_SEED);
-    let mut meetings = Vec::new();
     let mut last: Vec<(Option<rv_protocols::SglPhase>, Option<u64>)> =
         vec![(None, None); rt.agent_count()];
     let start = Instant::now();
     let end = loop {
-        if let Some(end) = rt.step(adv.as_mut(), &mut meetings) {
+        if let Some(end) = rt.step(adv.as_mut()) {
             break end;
         }
         for (i, seen) in last.iter_mut().enumerate() {
@@ -349,11 +345,10 @@ fn places(fname: &str, n: usize, k: usize, kind: AdversaryKind, cutoff: u64) {
         RunConfig::protocol().with_cutoff(cutoff),
     );
     let mut adv = kind.build(ADVERSARY_SEED);
-    let mut meetings = Vec::new();
     let mut next = 0u64;
     println!("=== {fname}{n}/{kind}/sgl-k{k} places ===");
     let end = loop {
-        if let Some(end) = rt.step(adv.as_mut(), &mut meetings) {
+        if let Some(end) = rt.step(adv.as_mut()) {
             break end;
         }
         if rt.actions() >= next {

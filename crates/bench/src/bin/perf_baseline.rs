@@ -295,10 +295,9 @@ fn sgl_protocol_scenario(trials: usize) -> Record {
             .collect();
         let mut rt = Runtime::new(&g, agents, RunConfig::protocol().with_cutoff(SGL_CUTOFF));
         let mut adv = AdversaryKind::RoundRobin.build(3);
-        let mut meetings = Vec::new();
         // `Runtime::step` is `run()`'s own loop body, driven manually so a
         // snapshot checkpoint can fire every 32 actions.
-        while rt.step(adv.as_mut(), &mut meetings).is_none() {
+        while rt.step(adv.as_mut()).is_none() {
             if rt.actions().is_multiple_of(32) {
                 std::hint::black_box(rt.snapshot().actions());
             }

@@ -111,9 +111,8 @@ fn uninterrupted<A: Adversary>(g: &Graph, mut adv: A) -> (String, u64) {
 fn detour<A: Adversary + Clone>(g: &Graph, mut adv: A, split: u64) -> (String, String) {
     let config = RunConfig::protocol();
     let mut rt = Runtime::new(g, team(g), config);
-    let mut meetings = Vec::new();
     for _ in 0..split {
-        let end = rt.step(&mut adv, &mut meetings);
+        let end = rt.step(&mut adv);
         assert!(end.is_none(), "split must be strictly mid-run");
     }
     let snap = rt.snapshot();

@@ -28,6 +28,12 @@ use rv_trajectory::TrajectoryCursor;
 /// `self.clone()`.
 pub trait Behavior {
     /// Information revealed to peers at a meeting.
+    ///
+    /// The runtime calls [`Behavior::info`] once per participant per
+    /// meeting — in protocol runs, every few traversals — and lends the
+    /// results to the peers without cloning them. `info` usually *is* a
+    /// clone of the agent's state, so make `Info` cheap to clone: share
+    /// large state (e.g. behind an `Arc`) rather than deep-copying it.
     type Info: Clone;
 
     /// The node this agent is placed at initially.

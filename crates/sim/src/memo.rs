@@ -613,7 +613,6 @@ mod tests {
 
     fn apply_steps<B: Behavior>(rt: &mut Runtime<'_, B>, picks: &[usize]) -> usize {
         let mut choices = Vec::new();
-        let mut meetings = Vec::new();
         let mut applied = 0;
         for &pick in picks {
             rt.legal_choices_into(&mut choices);
@@ -621,10 +620,8 @@ mod tests {
                 break;
             }
             let c = choices[pick % choices.len()].choice;
-            meetings.clear();
-            rt.apply_into(c, &mut meetings);
             applied += 1;
-            if !meetings.is_empty() {
+            if rt.apply_into(c) > 0 {
                 break; // meetings are leaves in the minimax search
             }
         }

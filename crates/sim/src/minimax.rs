@@ -17,7 +17,7 @@
 //! hosts it lost to one thread at every size (see `docs/MINIMAX.md`).
 //!
 //! Two walks share the entry point. The default, `explore_memo`, brackets
-//! every descent with [`Runtime::apply_undoable`]/[`Runtime::undo`] and
+//! every descent with `Runtime::apply_undoable`/`Runtime::undo` and
 //! consults the table at every interior node. With
 //! [`SearchOptions::memo`] off, `explore_subtree` enumerates every
 //! schedule plainly, re-entering siblings from [`Runtime::snapshot`]s
@@ -175,7 +175,6 @@ where
                 futures: &futures,
                 fpr: Fingerprinter::new(),
                 pool: Vec::new(),
-                meetings: Vec::new(),
                 max_actions,
             };
             let v = explore_memo(&mut rt, 0, &mut walk);
@@ -210,9 +209,6 @@ struct MemoWalk<'a> {
     fpr: Fingerprinter,
     /// One choice buffer per tree depth, reused across siblings.
     pool: Vec<Vec<ChoiceInfo>>,
-    /// Scratch for `apply_undoable`; descents are meeting-free, so it
-    /// stays empty.
-    meetings: Vec<crate::Meeting>,
     max_actions: usize,
 }
 
@@ -289,7 +285,7 @@ fn explore_memo<B: Behavior>(
                 acc.absorb(MemoValue::avoid_leaf(), 0);
                 continue;
             }
-            let token = rt.apply_undoable(info.choice, &mut walk.meetings);
+            let token = rt.apply_undoable(info.choice);
             let t_child = rt.total_traversals();
             let child = explore_memo(rt, depth + 1, walk);
             acc.absorb(child, t_child - t_node);
@@ -319,7 +315,6 @@ struct Frame<B> {
 fn explore_subtree<B: Behavior>(rt: &mut Runtime<B>, max_actions: usize, result: &mut WorstCase) {
     let mut stack: Vec<Frame<B>> = Vec::new();
     let mut choices: Vec<ChoiceInfo> = Vec::new();
-    let mut meetings = Vec::new();
     loop {
         // `rt` sits at a just-entered, meeting-free node.
         let depth = stack.len();
@@ -368,9 +363,7 @@ fn explore_subtree<B: Behavior>(rt: &mut Runtime<B>, max_actions: usize, result:
                 }
                 rt.legal_choices_into(&mut choices);
             }
-            meetings.clear();
-            rt.apply_into(choices[i].choice, &mut meetings);
-            if meetings.is_empty() {
+            if rt.apply_into(choices[i].choice) == 0 {
                 break; // descend: the outer loop enters the child
             }
             result.record_meeting(rt.total_traversals());

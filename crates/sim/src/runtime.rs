@@ -1,12 +1,14 @@
 //! The scheduler runtime: agent slots, edge occupancy, forced-meeting
 //! detection, and the adversary-driven run loop.
 //!
-//! The hot path is allocation-free in steady state: edge occupancy is a
-//! dense `Vec<EdgeOcc>` indexed by [`Graph::edge_index_at`] (no hashing,
-//! queues keep their capacity across occupancy changes), and the `_into`
-//! variants of [`Runtime::legal_choices`] / [`Runtime::apply`] write into
-//! caller-owned buffers that [`Runtime::run`] and the minimax search reuse
-//! across steps.
+//! The hot path allocates only what the meeting log keeps: edge occupancy
+//! is a dense `Vec<EdgeOcc>` indexed by [`Graph::edge_index_at`] (no
+//! hashing, queues keep their capacity across occupancy changes),
+//! [`Runtime::legal_choices_into`] writes into a reused buffer, and
+//! [`Runtime::apply_into`] reports how many meetings fired instead of
+//! copying them out. Meeting delivery reuses one runtime-owned buffer of
+//! participant infos, so the one allocation per meeting is the
+//! participant list of its [`Meeting`] record, moved into the log.
 //!
 //! # State lifecycle
 //!
@@ -290,7 +292,7 @@ impl<B: Behavior> RuntimeSnapshot<B> {
 ///
 /// See the crate documentation for the model; see
 /// [`crate::adversary`] for the strategies that drive it.
-pub struct Runtime<'g, B> {
+pub struct Runtime<'g, B: Behavior> {
     g: &'g Graph,
     slots: Vec<Slot<B>>,
     /// Occupancy per dense edge index (`edges.len() == g.size()`). Queues
@@ -303,9 +305,13 @@ pub struct Runtime<'g, B> {
     total_traversals: u64,
     config: RunConfig,
     /// Reusable scratch for participant lists built while `self.edges` or
-    /// `self.slots` is borrowed (meeting declaration is rare; the scratch
-    /// keeps the common paths allocation-free even when it fires).
+    /// `self.slots` is borrowed (meetings are frequent in protocol runs —
+    /// SGL declares one every few traversals — so no step allocates one).
     scratch: Vec<usize>,
+    /// Reusable buffer of the current meeting's participant infos, one per
+    /// participant in participant order (transient: empty between
+    /// meetings, never part of the frozen state).
+    infos: Vec<B::Info>,
     /// Reusable legal-choice buffer for [`Runtime::step`] (transient, not
     /// part of the frozen state — snapshots never carry it).
     choice_scratch: Vec<ChoiceInfo>,
@@ -335,6 +341,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             total_traversals: 0,
             config,
             scratch: Vec::new(),
+            infos: Vec::new(),
             choice_scratch: Vec::new(),
             faults: None,
         };
@@ -459,6 +466,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             total_traversals: snap.total_traversals,
             config,
             scratch: Vec::new(),
+            infos: Vec::new(),
             choice_scratch: Vec::new(),
             faults: None,
         }
@@ -487,6 +495,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             total_traversals: snap.total_traversals,
             config,
             scratch: Vec::new(),
+            infos: Vec::new(),
             choice_scratch: Vec::new(),
             faults: None,
         }
@@ -721,29 +730,33 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             .any(|(j, s)| j != i && s.place == Place::AtNode(to))
     }
 
-    /// Applies one adversary choice; returns the meetings it forced.
+    /// Applies one adversary choice; returns copies of the meetings it
+    /// appended to the log.
     ///
-    /// Allocates the returned vector only when meetings fired; the run loop
-    /// uses [`Runtime::apply_into`] to reuse a buffer across steps.
+    /// A meeting dropped by a log-loss fault (see [`crate::fault`]) still
+    /// happened — [`Runtime::apply_into`] counts it — but it is not in the
+    /// log, so it is not returned. The run loop and the search call
+    /// [`Runtime::apply_into`], which copies nothing.
     ///
     /// # Panics
     ///
     /// Panics if the choice is not currently legal.
     pub fn apply(&mut self, choice: Choice) -> Vec<Meeting> {
-        let mut out = Vec::new();
-        self.apply_into(choice, &mut out);
-        out
+        let before = self.meetings.len();
+        self.apply_into(choice);
+        self.meetings.iter().skip(before).cloned().collect()
     }
 
-    /// Applies one adversary choice, pushing the meetings it forced onto
-    /// `out` (which is *not* cleared — callers owning the buffer clear it
-    /// between steps).
+    /// Applies one adversary choice and returns how many meetings it
+    /// forced, including any whose log append a log-loss fault dropped.
+    /// The meetings themselves are in [`Runtime::meetings`].
     ///
     /// # Panics
     ///
     /// Panics if the choice is not currently legal.
-    pub fn apply_into(&mut self, choice: Choice, out: &mut Vec<Meeting>) {
+    pub fn apply_into(&mut self, choice: Choice) -> usize {
         self.actions += 1;
+        let mut fired = 0;
         let i = choice.agent;
         match choice.kind {
             ActionKind::Wake => {
@@ -768,8 +781,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 if !present.is_empty() {
                     present.push(i);
                     present.sort_unstable();
-                    let m = self.declare(present.clone(), MeetingPlace::Node(here));
-                    out.push(m);
+                    self.declare(&present, MeetingPlace::Node(here));
+                    fired += 1;
                 }
                 self.scratch = present;
             }
@@ -794,9 +807,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 opposite.extend_from_slice(self.edges[index].queue(!from_a));
                 self.edges[index].queue_mut(from_a).push(i);
                 for &j in &opposite {
-                    let m = self.declare(vec![i.min(j), i.max(j)], MeetingPlace::Edge(edge));
-                    out.push(m);
+                    self.declare(&[i.min(j), i.max(j)], MeetingPlace::Edge(edge));
                 }
+                fired += opposite.len();
                 self.scratch = opposite;
             }
             ActionKind::Finish => {
@@ -817,13 +830,13 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 self.slots[i].traversals += 1;
                 self.total_traversals += 1;
                 for &j in &overtaken {
-                    let m = self.declare_excluding(
-                        vec![i.min(j), i.max(j)],
+                    self.declare_excluding(
+                        &[i.min(j), i.max(j)],
                         MeetingPlace::Edge(edge),
                         Some(i),
                     );
-                    out.push(m);
                 }
+                fired += overtaken.len();
                 // Node contact: everyone standing at the arrival node.
                 // Sleeping agents there are woken by the visit.
                 overtaken.clear();
@@ -844,9 +857,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                     }
                     present.push(i);
                     present.sort_unstable();
-                    let m =
-                        self.declare_excluding(present.clone(), MeetingPlace::Node(to), Some(i));
-                    out.push(m);
+                    self.declare_excluding(&present, MeetingPlace::Node(to), Some(i));
+                    fired += 1;
                 }
                 self.scratch = present;
                 // The agent commits its next move knowing everything that
@@ -858,6 +870,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 }
             }
         }
+        fired
     }
 
     /// `true` iff applying [`ActionKind::Wake`] to agent `i` right now
@@ -888,20 +901,13 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// number of agents and edges — and a `Start` never touches its
     /// behavior at all, so its token is a couple of `Copy` fields.
     ///
-    /// `out` receives the apply's meetings exactly as
-    /// [`Runtime::apply_into`] would (not cleared first).
-    ///
     /// # Panics
     ///
     /// Panics if the choice is not currently legal, or if applying it
     /// declares a meeting after all — that would mean the caller's
     /// meeting-free evidence was wrong and the token cannot cover the
     /// mutation (peer behaviors were notified).
-    pub(crate) fn apply_undoable(
-        &mut self,
-        choice: Choice,
-        out: &mut Vec<Meeting>,
-    ) -> ApplyUndo<B> {
+    pub(crate) fn apply_undoable(&mut self, choice: Choice) -> ApplyUndo<B> {
         debug_assert!(
             self.faults.is_none(),
             "undoable applies assume no fault plan is installed"
@@ -947,11 +953,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 agent: i,
             },
         };
-        let before = out.len();
-        self.apply_into(choice, out);
+        let fired = self.apply_into(choice);
         assert_eq!(
-            out.len(),
-            before,
+            fired, 0,
             "apply_undoable on a choice that declared a meeting"
         );
         token
@@ -1007,23 +1011,22 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// fresh `next_port` query — parking is a decision, not a commitment,
     /// and new information may end it (e.g. an SGL explorer whose token
     /// just arrived).
-    fn declare(&mut self, agents: Vec<usize>, place: MeetingPlace) -> Meeting {
+    ///
+    /// `agents` is sorted. Delivery reuses the runtime's info buffer; the
+    /// one allocation is the participant list of the log's record
+    /// (skipped when a log-loss fault drops the record).
+    fn declare(&mut self, agents: &[usize], place: MeetingPlace) {
         self.declare_excluding(agents, place, None)
     }
 
     /// Like [`Runtime::declare`] but defers the re-commit of `skip` (the
     /// agent whose action produced this meeting commits once at the end of
     /// its action, after *all* resulting meetings are delivered).
-    fn declare_excluding(
-        &mut self,
-        agents: Vec<usize>,
-        place: MeetingPlace,
-        skip: Option<usize>,
-    ) -> Meeting {
-        let infos: Vec<B::Info> = agents
-            .iter()
-            .map(|&j| self.slots[j].behavior.info())
-            .collect();
+    fn declare_excluding(&mut self, agents: &[usize], place: MeetingPlace, skip: Option<usize>) {
+        // Every participant's info is taken before any delivery, so each
+        // sees its peers as they were when the meeting happened.
+        self.infos
+            .extend(agents.iter().map(|&j| self.slots[j].behavior.info()));
         for (idx, &j) in agents.iter().enumerate() {
             // Crash-stop body semantics (see `crate::fault`): a crashed
             // participant's info stays readable by the live agents, but it
@@ -1031,13 +1034,11 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             if self.slots[j].crashed {
                 continue;
             }
-            let peers: Vec<B::Info> = infos
-                .iter()
-                .enumerate()
-                .filter(|(p, _)| *p != idx)
-                .map(|(_, info)| info.clone())
-                .collect();
-            self.slots[j].behavior.on_meeting(place, &peers);
+            // The peers are every other participant's info, in participant
+            // order: lift this agent's own entry out, deliver, put it back.
+            let own = self.infos.remove(idx);
+            self.slots[j].behavior.on_meeting(place, &self.infos);
+            self.infos.insert(idx, own);
             // A parked agent may decide to move again after learning
             // something new (e.g. an SGL explorer whose token arrives).
             if Some(j) != skip
@@ -1048,22 +1049,24 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 self.fetch_pending(j);
             }
         }
-        let m = Meeting {
-            agents,
-            place,
-            at_cost: self.total_traversals,
-            at_action: self.actions,
-        };
+        // Drop the infos now: a peer's copy that outlived the meeting would
+        // keep shared state (e.g. a copy-on-write bag) from being unique.
+        self.infos.clear();
         // Log-loss fault: the meeting *happened* (participants were served
-        // above, the caller still sees it) but its durable append is lost.
+        // above, the caller still counts it) but its durable append is lost.
         let lost = self
             .faults
             .as_ref()
             .is_some_and(|f| f.log_lost(self.actions));
         if !lost {
-            self.meetings.push(m.clone());
+            self.meetings.push(Meeting {
+                // lint:allow(api-meetinglog-to-vec) — a participant slice, not a log view: the log's one owned copy
+                agents: agents.to_vec(),
+                place,
+                at_cost: self.total_traversals,
+                at_action: self.actions,
+            });
         }
-        m
     }
 
     /// Asks the behavior for its next committed move from its current node.
@@ -1082,20 +1085,16 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// Executes **one** adversary decision — exactly one iteration of
     /// [`Runtime::run`]'s loop (cutoff check, legal-choice enumeration,
     /// `adversary.choose`, apply, first-meeting check), decision for
-    /// decision. Meetings forced by the step are pushed onto
-    /// `new_meetings` (cleared first); `Some(end)` means the run is over
-    /// and no action was taken this call (for `Cutoff`/`AllParked`) or
-    /// the configured stop fired (`Meeting`).
+    /// decision. Meetings forced by the step are appended to
+    /// [`Runtime::meetings`]; `Some(end)` means the run is over and no
+    /// action was taken this call (for `Cutoff`/`AllParked`) or the
+    /// configured stop fired (`Meeting`).
     ///
-    /// `run` is a loop over `step`, so callers driving a run step-by-step
-    /// — the perf harness's checkpointing loop, the snapshot-detour
-    /// golden suites — stay in lockstep with `run()` by construction.
-    pub fn step(
-        &mut self,
-        adversary: &mut dyn crate::adversary::Adversary,
-        new_meetings: &mut Vec<Meeting>,
-    ) -> Option<RunEnd> {
-        new_meetings.clear();
+    /// [`Runtime::run`] and [`Runtime::run_with_policy`] are loops over
+    /// `step`, so callers driving a run step-by-step — the perf harness's
+    /// checkpointing loop, the snapshot-detour golden suites — stay in
+    /// lockstep with them by construction.
+    pub fn step(&mut self, adversary: &mut dyn crate::adversary::Adversary) -> Option<RunEnd> {
         if self.total_traversals >= self.config.max_total_traversals {
             return Some(RunEnd::Cutoff);
         }
@@ -1126,9 +1125,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             choices.iter().any(|c| c.choice == choice),
             "adversary returned an illegal choice"
         );
-        self.apply_into(choice, new_meetings);
+        let fired = self.apply_into(choice);
         self.choice_scratch = choices;
-        if self.config.stop_on_first_meeting && !new_meetings.is_empty() {
+        if self.config.stop_on_first_meeting && fired > 0 {
             return Some(RunEnd::Meeting);
         }
         None
@@ -1140,9 +1139,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// runtime's copy-on-write log — constructing the outcome costs
     /// O(agents) however many meetings the run declared.
     pub fn run(&mut self, adversary: &mut dyn crate::adversary::Adversary) -> RunOutcome {
-        let mut new_meetings: Vec<Meeting> = Vec::new();
         let end = loop {
-            if let Some(end) = self.step(adversary, &mut new_meetings) {
+            if let Some(end) = self.step(adversary) {
                 break end;
             }
         };
@@ -1291,24 +1289,8 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         adversary: &mut dyn crate::adversary::Adversary,
         policy: &mut dyn crate::stop::StopPolicy,
     ) -> RunOutcome {
-        self.run_with_policy_observed(adversary, policy, |_| {})
-    }
-
-    /// [`Runtime::run_with_policy`] with a read-only observer invoked at
-    /// every cadence point the policy declines to stop at — the hook the
-    /// durable-sweep checkpointer uses to persist in-flight state without
-    /// perturbing the run (the observer takes `&Self`, so it *cannot*
-    /// perturb it; a no-op observer is bit-identical to
-    /// [`Runtime::run_with_policy`] by construction).
-    pub fn run_with_policy_observed(
-        &mut self,
-        adversary: &mut dyn crate::adversary::Adversary,
-        policy: &mut dyn crate::stop::StopPolicy,
-        mut observer: impl FnMut(&Self),
-    ) -> RunOutcome {
         let cadence = policy.cadence().max(1);
         let mut next_check = self.actions;
-        let mut new_meetings: Vec<Meeting> = Vec::new();
         let end = loop {
             if self.actions >= next_check {
                 // The config budget wins ties: if the backstop is already
@@ -1321,10 +1303,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 if let Some(end) = policy.check(&self.progress()) {
                     break end;
                 }
-                observer(self);
                 next_check = self.actions + cadence;
             }
-            if let Some(end) = self.step(adversary, &mut new_meetings) {
+            if let Some(end) = self.step(adversary) {
                 break end;
             }
         };
@@ -1350,12 +1331,10 @@ mod tests {
     /// the run terminates.
     fn step_n<B: Behavior>(rt: &mut Runtime<B>, n: usize) {
         let mut choices = Vec::new();
-        let mut meetings = Vec::new();
         for _ in 0..n {
             rt.legal_choices_into(&mut choices);
             let Some(c) = choices.first() else { return };
-            meetings.clear();
-            rt.apply_into(c.choice, &mut meetings);
+            rt.apply_into(c.choice);
         }
     }
 
@@ -1417,13 +1396,11 @@ mod tests {
         ];
         let mut rt = Runtime::new(&g, behaviors, RunConfig::protocol());
         let mut choices = Vec::new();
-        let mut meetings = Vec::new();
         let mut checked = 0;
         loop {
             rt.legal_choices_into(&mut choices);
             let Some(c) = choices.first() else { break };
-            meetings.clear();
-            rt.apply_into(c.choice, &mut meetings);
+            rt.apply_into(c.choice);
             if rt.actions().is_multiple_of(64) {
                 let snap = rt.snapshot();
                 assert!(

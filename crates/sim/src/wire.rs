@@ -406,12 +406,10 @@ mod tests {
         ];
         let mut rt = Runtime::new(&g, behaviors, RunConfig::protocol());
         let mut choices = Vec::new();
-        let mut meetings = Vec::new();
         for _ in 0..7 {
             rt.legal_choices_into(&mut choices);
             let Some(c) = choices.first() else { break };
-            meetings.clear();
-            rt.apply_into(c.choice, &mut meetings);
+            rt.apply_into(c.choice);
         }
         let snap = rt.snapshot();
         (generators::ring(6), snap)

@@ -54,7 +54,6 @@ proptest! {
         let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous());
         let mut adv = RandomAdversary::new(aseed);
         let mut buf = Vec::new();
-        let mut meetings = Vec::new();
         for step in 0..200 {
             let fresh = rt.legal_choices();
             rt.legal_choices_into(&mut buf); // not cleared between steps
@@ -63,9 +62,7 @@ proptest! {
                 break;
             }
             use rv_sim::adversary::Adversary;
-            meetings.clear();
-            rt.apply_into(adv.choose(&fresh, step as u64), &mut meetings);
-            if !meetings.is_empty() {
+            if rt.apply_into(adv.choose(&fresh, step as u64)) > 0 {
                 break;
             }
         }

@@ -232,9 +232,8 @@ fn detour_fingerprints(i: usize, split: u64) -> (String, String) {
         let mut rt = Runtime::new(&g, agents, config);
         // Manual prefix via `Runtime::step` — `run()`'s own loop body, so
         // the prefix is decision-for-decision identical by construction.
-        let mut meetings = Vec::new();
         for _ in 0..split {
-            let end = rt.step(&mut adv, &mut meetings);
+            let end = rt.step(&mut adv);
             assert!(end.is_none(), "split is strictly mid-run (got {end:?})");
         }
         let snap = rt.snapshot();

@@ -64,9 +64,8 @@ proptest! {
         let mut adv = GreedyAvoid::new(seed);
 
         // Drive a prefix; stop early if the run finishes first.
-        let mut meetings = Vec::new();
         for _ in 0..prefix {
-            if rt.step(&mut adv, &mut meetings).is_some() {
+            if rt.step(&mut adv).is_some() {
                 break;
             }
         }
