@@ -30,7 +30,6 @@
 //! ```text
 //! scenario_matrix [--smoke] [--trials N] [--out PATH] [--only SUBSTR]
 //!                 [--store DIR] [--engine-fp HEX]
-//!                 [--checkpoint DIR [--resume]]
 //! scenario_matrix --check PATH
 //! scenario_matrix --diff A B     (A/B: row files or store directories)
 //! ```
@@ -46,14 +45,11 @@
 //! `--engine-fp` overrides it (CI uses the override to prove that a
 //! fingerprint flip recomputes every cell without rebuilding the engine).
 //!
-//! **Durable sweeps** (`docs/FAULTS.md`): `--checkpoint DIR` is the same
-//! store machinery pointed at a sweep-private directory, plus the legacy
-//! observability surface: `DIR/meta.json` (the sweep configuration;
-//! `--resume` refuses a mismatch) and `DIR/rows.jsonl` (the finished
-//! prefix, rewritten atomically after every computed cell — what the
-//! chaos gates poll). `--resume` serves already-stored cells and runs
-//! only the missing ones; a SIGKILL at any instant loses at most the
-//! cell in flight. `--store` and `--checkpoint` are mutually exclusive.
+//! The store is also what makes a sweep **durable** (`docs/FAULTS.md`):
+//! every computed row is appended before the sweep moves on, so a
+//! SIGKILL at any instant loses at most the cell in flight, and rerunning
+//! the same command against the same store serves the finished cells and
+//! runs only the missing ones.
 //!
 //! `--smoke` runs 1 trial per cell and caps protocol cells at a smaller
 //! cutoff; `--only` restricts the sweep to cells whose scenario id
@@ -152,18 +148,6 @@ struct Row {
     median_ns_per_run: f64,
 }
 
-/// The sweep configuration echoed into a checkpoint's `meta.json`:
-/// `--resume` refuses to splice rows measured under different settings
-/// into one table. (The content keys would miss anyway — trials and
-/// cutoff are part of the key — but a loud refusal beats a silent
-/// full recompute that masks a typo.)
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
-struct CheckpointMeta {
-    smoke: bool,
-    trials: usize,
-    only: Option<String>,
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -230,49 +214,7 @@ fn main() {
                 .unwrap_or_else(|| rv_bench::fail("--store requires a directory argument")),
         )
     });
-    let checkpoint = args.iter().position(|a| a == "--checkpoint").map(|i| {
-        PathBuf::from(
-            args.get(i + 1)
-                .unwrap_or_else(|| rv_bench::fail("--checkpoint requires a directory argument")),
-        )
-    });
-    let resume = args.iter().any(|a| a == "--resume");
-    if resume && checkpoint.is_none() {
-        rv_bench::fail("--resume requires --checkpoint DIR");
-    }
-    if store_dir.is_some() && checkpoint.is_some() {
-        rv_bench::fail(
-            "--store and --checkpoint are mutually exclusive (a checkpoint *is* a \
-             sweep-private store; point --store at a shared directory instead)",
-        );
-    }
-
-    let meta = CheckpointMeta {
-        smoke,
-        trials,
-        only: only.clone(),
-    };
-    if let Some(dir) = &checkpoint {
-        if resume {
-            refuse_meta_mismatch(dir, &meta);
-        }
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            rv_bench::fail(format!(
-                "cannot create checkpoint directory {}: {e}",
-                dir.display()
-            ))
-        });
-        let meta_json = serde_json::to_string(&meta).expect("meta serialises");
-        rv_bench::write_atomic(dir.join("meta.json"), format!("{meta_json}\n"))
-            .unwrap_or_else(|e| rv_bench::fail(format!("cannot write checkpoint meta: {e}")));
-    }
-
-    // The store: shared (`--store`) or sweep-private (`--checkpoint`).
-    // Warm serving is unconditional for a shared store; a checkpoint
-    // serves only under `--resume` (a fresh checkpointed run recomputes,
-    // exactly as the durable sweeps always did).
-    let serve_warm = store_dir.is_some() || resume;
-    let mut store = store_dir.as_ref().or(checkpoint.as_ref()).map(|dir| {
+    let mut store = store_dir.as_ref().map(|dir| {
         let s = Store::open(dir).unwrap_or_else(|e| {
             rv_bench::fail(format!("cannot open store {}: {e}", dir.display()))
         });
@@ -307,17 +249,15 @@ fn main() {
         // A warm cell is served as its stored row *line*, verbatim —
         // re-measuring would only perturb the timing column; everything
         // else is deterministic and must come out identical anyway.
-        if serve_warm {
-            if let Some(line) = store.as_ref().and_then(|s| s.get(key)) {
-                let line = std::str::from_utf8(line).unwrap_or_else(|_| {
-                    rv_bench::fail(format!("store row for {scenario} is not UTF-8"))
-                });
-                lines.push_str(line);
-                lines.push('\n');
-                rows += 1;
-                hits += 1;
-                continue;
-            }
+        if let Some(line) = store.as_ref().and_then(|s| s.get(key)) {
+            let line = std::str::from_utf8(line).unwrap_or_else(|_| {
+                rv_bench::fail(format!("store row for {scenario} is not UTF-8"))
+            });
+            lines.push_str(line);
+            lines.push('\n');
+            rows += 1;
+            hits += 1;
+            continue;
         }
         let row = run_cell(&spec, trials, cutoff);
         let line = serde_json::to_string(&row).expect("rows serialise");
@@ -333,14 +273,6 @@ fn main() {
                 rv_bench::fail(format!("cannot append {scenario} to the store: {e}"))
             });
         }
-        if let Some(dir) = &checkpoint {
-            // Legacy observability surface: the finished prefix as plain
-            // JSON lines, atomically rewritten per cell (the chaos gates
-            // poll this file to time their SIGKILL).
-            rv_bench::write_atomic(dir.join("rows.jsonl"), &lines).unwrap_or_else(|e| {
-                rv_bench::fail(format!("cannot checkpoint rows to {}: {e}", dir.display()))
-            });
-        }
     }
     rv_bench::write_atomic(&out_path, &lines)
         .unwrap_or_else(|e| rv_bench::fail(format!("cannot write {out_path}: {e}")));
@@ -348,11 +280,6 @@ fn main() {
         println!(
             "wrote {rows} rows ({trials} trials per cell, {hits}/{rows} from store, \
              {executed} executed) to {out_path}"
-        );
-    } else if resume {
-        println!(
-            "wrote {rows} rows ({trials} trials per cell, {hits} reused from checkpoint) \
-             to {out_path}"
         );
     } else {
         println!("wrote {rows} rows ({trials} trials per cell) to {out_path}");
@@ -365,46 +292,6 @@ fn parse_fp(raw: &str) -> Option<u64> {
     match raw.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
         None => raw.parse().ok(),
-    }
-}
-
-/// `--resume` guard: a checkpoint written under a different configuration
-/// is refused, not silently spliced. A missing checkpoint is an empty one
-/// (the sweep simply starts over).
-fn refuse_meta_mismatch(dir: &Path, meta: &CheckpointMeta) {
-    let meta_path = dir.join("meta.json");
-    let text = match std::fs::read_to_string(&meta_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return,
-        Err(e) => rv_bench::fail(format!("cannot read {}: {e}", meta_path.display())),
-    };
-    let v = serde_json::from_str(&text).unwrap_or_else(|e| {
-        rv_bench::fail(format!("{} is not valid JSON: {e}", meta_path.display()))
-    });
-    let found = CheckpointMeta {
-        smoke: v.get("smoke").and_then(|x| x.as_bool()).unwrap_or_else(|| {
-            rv_bench::fail(format!("{} has no smoke flag", meta_path.display()))
-        }),
-        trials: v.get("trials").and_then(|x| x.as_u64()).unwrap_or_else(|| {
-            rv_bench::fail(format!("{} has no trial count", meta_path.display()))
-        }) as usize,
-        only: v.get("only").filter(|x| !x.is_null()).map(|x| {
-            x.as_str()
-                .unwrap_or_else(|| {
-                    rv_bench::fail(format!(
-                        "{} only-filter must be a string",
-                        meta_path.display()
-                    ))
-                })
-                .to_string()
-        }),
-    };
-    if &found != meta {
-        rv_bench::fail(format!(
-            "checkpoint {} was written by a different configuration \
-             ({found:?}, this run is {meta:?}); refusing to splice",
-            dir.display()
-        ));
     }
 }
 
@@ -477,8 +364,8 @@ fn comparable(line: &str, src: &str, lineno: usize) -> Value {
 
 /// `--diff A B`: compares two row sources cell by cell, ignoring only the
 /// wall-clock column. This is the chaos-recovery *and* store-identity
-/// gate: a resumed sweep — or a fully store-served one — must reproduce
-/// the reference table exactly, timing aside.
+/// gate: a sweep rerun after a SIGKILL — or a fully store-served one —
+/// must reproduce the reference table exactly, timing aside.
 fn diff(a: &str, b: &str, smoke: bool, trials: usize, only: Option<&str>, engine_fp: u64) {
     let la = load_rows(a, smoke, trials, only, engine_fp);
     let lb = load_rows(b, smoke, trials, only, engine_fp);

@@ -245,9 +245,9 @@ pub struct CellSpec {
 
 impl CellSpec {
     /// The cell's scenario id, `family<n>/adversary/variant` — the
-    /// human-readable key of a row (`--only` filters on it; checkpoints
-    /// index by it). Chaos cells append `+f<seed>` to the variant; the
-    /// certificate ablation cell appends `+nocert`.
+    /// human-readable key of a row (`--only` filters on it; the row's
+    /// `scenario` column carries it). Chaos cells append `+f<seed>` to the
+    /// variant; the certificate ablation cell appends `+nocert`.
     pub fn scenario_id(&self) -> String {
         let (fname, n, adversary) = (self.fname, self.n, self.adversary);
         match self.kind {

@@ -70,18 +70,6 @@ impl RandomAdversary {
             rng: StdRng::seed_from_u64(seed),
         }
     }
-
-    /// The raw RNG state mid-stream (see [`GreedyAvoid::rng_state`]).
-    pub fn rng_state(&self) -> u64 {
-        self.rng.state()
-    }
-
-    /// Rebuilds the adversary mid-stream from a saved state.
-    pub fn from_rng_state(state: u64) -> Self {
-        RandomAdversary {
-            rng: StdRng::from_state(state),
-        }
-    }
 }
 
 impl Adversary for RandomAdversary {
@@ -137,21 +125,6 @@ impl GreedyAvoid {
     pub fn new(seed: u64) -> Self {
         GreedyAvoid {
             rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The raw RNG state mid-stream — what the serde wire layer persists
-    /// so a resumed run draws the *continuation* of this adversary's
-    /// stream, not a reseeded one (see `rv_sim::wire`).
-    pub fn rng_state(&self) -> u64 {
-        self.rng.state()
-    }
-
-    /// Rebuilds the adversary mid-stream from a state saved by
-    /// [`GreedyAvoid::rng_state`].
-    pub fn from_rng_state(state: u64) -> Self {
-        GreedyAvoid {
-            rng: StdRng::from_state(state),
         }
     }
 }

@@ -60,13 +60,12 @@ pub trait Behavior {
     /// [`crate::stop::BehaviorProgress`]): a monotone work ordinal plus a
     /// done flag, aggregated into [`crate::stop::Progress`] by
     /// [`crate::Runtime::progress`]. The default reports no progress,
-    /// which keeps scripted test behaviors trivially compatible with
-    /// census- and cutoff-based policies (`FixedCutoff`,
-    /// `EarlyQuiescence`). **Metric-watching detectors read a permanently
-    /// flat metric as stagnation**: running a default-progress behavior
-    /// under `DivergenceDetector`/`AdaptiveThreshold` will fire once the
-    /// window elapses — wire those detectors only to behaviors that
-    /// override this with a real metric.
+    /// which keeps scripted test behaviors trivially compatible with a
+    /// plain run and its config cutoff. **Metric-watching detectors read a
+    /// permanently flat metric as stagnation**: running a default-progress
+    /// behavior under `DivergenceDetector`/`AdaptiveThreshold` will fire
+    /// once the window elapses — wire those detectors only to behaviors
+    /// that override this with a real metric.
     fn progress(&self) -> crate::stop::BehaviorProgress {
         crate::stop::BehaviorProgress::default()
     }
@@ -310,10 +309,8 @@ impl ScriptBehavior {
         }
     }
 
-    /// The unplayed tail of the script, in play order — together with
-    /// [`Behavior::start_node`] this is the complete mid-run state, which
-    /// is what the serde wire layer persists (see `rv_sim::wire`).
-    pub fn remaining_ports(&self) -> impl Iterator<Item = PortId> + '_ {
+    /// The unplayed tail of the script, in play order.
+    fn remaining_ports(&self) -> impl Iterator<Item = PortId> + '_ {
         self.ports.iter().copied()
     }
 }

@@ -131,15 +131,6 @@ impl MeetingLog {
         }
     }
 
-    /// Empties the log. Sealed chunks still referenced by other handles
-    /// (snapshots, outcomes) stay alive over there; this handle restarts
-    /// from scratch, keeping the tail's allocation.
-    pub(crate) fn clear(&mut self) {
-        self.sealed = None;
-        self.sealed_len = 0;
-        self.tail.clear();
-    }
-
     /// The most recent meeting, if any.
     pub fn last(&self) -> Option<&Meeting> {
         self.tail
@@ -311,9 +302,6 @@ mod tests {
         // Debug must render exactly like Vec<Meeting>: the golden suite
         // fingerprints outcomes with {:?}.
         assert_eq!(format!("{log:?}"), format!("{vec:?}"));
-        log.clear();
-        assert!(log.is_empty());
-        assert_eq!(format!("{log:?}"), "[]");
     }
 
     #[test]

@@ -476,7 +476,7 @@ mod tests {
             8,
         );
         // 129 leaves: pinned against the seed's sequential odometer
-        // enumeration (replayed via reset + factory per prefix).
+        // enumeration (replayed from the factory per prefix).
         assert_eq!(res.schedules_explored, 129);
         assert_eq!(calls.get(), 1);
     }

@@ -13,15 +13,13 @@
 //! # State lifecycle
 //!
 //! A runtime state moves through construct → run → snapshot → fork →
-//! restore: [`Runtime::new`] constructs, [`Runtime::run`] / `apply` steps,
+//! restore: [`Runtime::new`] constructs, [`Runtime::run_with_policy`] (or
+//! its policy-free form [`Runtime::run`]) and [`Runtime::step`] advance,
 //! [`Runtime::snapshot`] freezes the complete mid-run state (forking every
 //! behavior per the [`Behavior::fork`] contract) into a
 //! [`RuntimeSnapshot`], and [`Runtime::restore`] /
 //! [`Runtime::from_snapshot`] re-enter that state — on the same runtime
 //! or a fresh one — without replaying the schedule prefix.
-//! [`Runtime::reset`] is the other rewind: back to the *initial* state
-//! with brand-new behaviors (see its docs for the reset-vs-restore rule of
-//! thumb).
 
 use crate::behavior::Behavior;
 use crate::fault::{FaultClock, FaultPlan};
@@ -145,12 +143,12 @@ impl RunConfig {
 
     /// Replaces the traversal cutoff.
     ///
-    /// This is the **compatibility shim** over the stop-policy layer: the
-    /// run loop checks this budget inline before every action (exactly
-    /// the semantics of a [`crate::stop::FixedCutoff`] policy at cadence
-    /// 1), so it doubles as the hard backstop under
-    /// [`Runtime::run_with_policy`] — detectors fire first when they have
-    /// something to say, the budget catches everything else.
+    /// This budget is the run's **one cutoff**: the run loop checks it
+    /// before every action, under [`Runtime::run`] and
+    /// [`Runtime::run_with_policy`] alike, so a `Cutoff` run stops at
+    /// exactly this cost. Stop policies (see [`crate::stop`]) fire first
+    /// when they have something to say; the budget catches everything
+    /// else.
     pub fn with_cutoff(mut self, max: u64) -> Self {
         self.max_total_traversals = max;
         self
@@ -332,9 +330,32 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// Panics if fewer than two agents are supplied or two agents share a
     /// start node (the model places agents at distinct nodes).
     pub fn new(g: &'g Graph, behaviors: Vec<B>, config: RunConfig) -> Self {
-        let mut rt = Runtime {
+        assert!(behaviors.len() >= 2, "the model has at least two agents");
+        for (i, b) in behaviors.iter().enumerate() {
+            assert!(
+                behaviors[..i]
+                    .iter()
+                    .all(|o| o.start_node() != b.start_node()),
+                "agents must start at distinct nodes (duplicate {:?})",
+                b.start_node()
+            );
+        }
+        let slots = behaviors
+            .into_iter()
+            .map(|behavior| Slot {
+                place: Place::AtNode(behavior.start_node()),
+                behavior,
+                inside_index: usize::MAX,
+                pending: None,
+                awake: false,
+                crashed: false,
+                traversals: 0,
+                entered_at: 0,
+            })
+            .collect();
+        Runtime {
             g,
-            slots: Vec::new(),
+            slots,
             edges: vec![EdgeOcc::default(); g.size()],
             meetings: MeetingLog::new(),
             actions: 0,
@@ -344,36 +365,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             infos: Vec::new(),
             choice_scratch: Vec::new(),
             faults: None,
-        };
-        rt.install(behaviors);
-        rt
-    }
-
-    /// Rewinds the runtime to the **initial** state with a fresh set of
-    /// agents, reusing every internal allocation (edge queues, slot
-    /// storage, scratch).
-    ///
-    /// Use `reset` when the next run should start from scratch with *new*
-    /// behaviors (different labels, a different algorithm variant, a fresh
-    /// RNG); use [`Runtime::restore`] to rewind to a **mid-run** state
-    /// captured by [`Runtime::snapshot`] — restore keeps the agents'
-    /// accumulated state (cursor position, warm length memos, RNG streams)
-    /// and is what the replay-free minimax search uses instead of
-    /// re-executing schedule prefixes after a `reset`.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Runtime::new`].
-    pub fn reset(&mut self, behaviors: Vec<B>) {
-        for occ in &mut self.edges {
-            occ.from_a.clear();
-            occ.from_b.clear();
         }
-        self.meetings.clear();
-        self.actions = 0;
-        self.total_traversals = 0;
-        self.slots.clear();
-        self.install(behaviors);
     }
 
     /// Freezes the complete mid-run state — agent behaviors (via
@@ -399,8 +391,7 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 
     /// Rewinds this runtime to the mid-run state captured by `snap`,
-    /// reusing internal allocations where possible. See [`Runtime::reset`]
-    /// for when to reset instead.
+    /// reusing internal allocations where possible.
     ///
     /// The snapshot is borrowed, not consumed: the same snapshot can seed
     /// any number of restores (the minimax search re-enters each frontier
@@ -470,59 +461,6 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             choice_scratch: Vec::new(),
             faults: None,
         }
-    }
-
-    /// Like [`Runtime::from_snapshot`], but consumes the snapshot and moves
-    /// its state in without forking — the cheap constructor when the
-    /// snapshot has no further use. Mirrors the [`Runtime::restore`] /
-    /// [`Runtime::restore_owned`] pairing.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Runtime::from_snapshot`].
-    pub fn from_snapshot_owned(g: &'g Graph, snap: RuntimeSnapshot<B>, config: RunConfig) -> Self {
-        assert_eq!(
-            snap.edges.len(),
-            g.size(),
-            "snapshot belongs to a runtime over a different graph"
-        );
-        Runtime {
-            g,
-            slots: snap.slots,
-            edges: snap.edges,
-            meetings: snap.meetings,
-            actions: snap.actions,
-            total_traversals: snap.total_traversals,
-            config,
-            scratch: Vec::new(),
-            infos: Vec::new(),
-            choice_scratch: Vec::new(),
-            faults: None,
-        }
-    }
-
-    fn install(&mut self, behaviors: Vec<B>) {
-        assert!(behaviors.len() >= 2, "the model has at least two agents");
-        for (i, b) in behaviors.iter().enumerate() {
-            assert!(
-                behaviors[..i]
-                    .iter()
-                    .all(|o| o.start_node() != b.start_node()),
-                "agents must start at distinct nodes (duplicate {:?})",
-                b.start_node()
-            );
-        }
-        self.slots
-            .extend(behaviors.into_iter().map(|behavior| Slot {
-                place: Place::AtNode(behavior.start_node()),
-                behavior,
-                inside_index: usize::MAX,
-                pending: None,
-                awake: false,
-                crashed: false,
-                traversals: 0,
-                entered_at: 0,
-            }));
     }
 
     /// Current position of agent `i`.
@@ -602,12 +540,6 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         self.faults = Some(FaultClock::new(plan));
     }
 
-    /// Removes the fault plan (fault branches go back to one `Option`
-    /// check that never takes the slow path).
-    pub fn clear_fault_plan(&mut self) {
-        self.faults = None;
-    }
-
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref().map(|c| c.plan())
@@ -641,18 +573,9 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             .is_some_and(|f| f.edge_down(index, self.actions))
     }
 
-    /// All currently legal choices with meeting annotations.
-    ///
-    /// Allocates a fresh vector; the run loop and search use
-    /// [`Runtime::legal_choices_into`] to reuse a buffer across steps.
-    pub fn legal_choices(&self) -> Vec<ChoiceInfo> {
-        let mut out = Vec::new();
-        self.legal_choices_into(&mut out);
-        out
-    }
-
-    /// Writes all currently legal choices into `out` (cleared first), in
-    /// the same order as [`Runtime::legal_choices`].
+    /// Writes all currently legal choices, with meeting annotations, into
+    /// `out` (cleared first), in agent order. The run loop and the search
+    /// reuse one buffer across steps.
     pub fn legal_choices_into(&self, out: &mut Vec<ChoiceInfo>) {
         out.clear();
         for (i, slot) in self.slots.iter().enumerate() {
@@ -728,23 +651,6 @@ impl<'g, B: Behavior> Runtime<'g, B> {
             .iter()
             .enumerate()
             .any(|(j, s)| j != i && s.place == Place::AtNode(to))
-    }
-
-    /// Applies one adversary choice; returns copies of the meetings it
-    /// appended to the log.
-    ///
-    /// A meeting dropped by a log-loss fault (see [`crate::fault`]) still
-    /// happened — [`Runtime::apply_into`] counts it — but it is not in the
-    /// log, so it is not returned. The run loop and the search call
-    /// [`Runtime::apply_into`], which copies nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the choice is not currently legal.
-    pub fn apply(&mut self, choice: Choice) -> Vec<Meeting> {
-        let before = self.meetings.len();
-        self.apply_into(choice);
-        self.meetings.iter().skip(before).cloned().collect()
     }
 
     /// Applies one adversary choice and returns how many meetings it
@@ -1083,17 +989,16 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     }
 
     /// Executes **one** adversary decision — exactly one iteration of
-    /// [`Runtime::run`]'s loop (cutoff check, legal-choice enumeration,
-    /// `adversary.choose`, apply, first-meeting check), decision for
-    /// decision. Meetings forced by the step are appended to
-    /// [`Runtime::meetings`]; `Some(end)` means the run is over and no
-    /// action was taken this call (for `Cutoff`/`AllParked`) or the
-    /// configured stop fired (`Meeting`).
+    /// [`Runtime::run_with_policy`]'s loop between policy checks (cutoff
+    /// check, legal-choice enumeration, `adversary.choose`, apply,
+    /// first-meeting check), decision for decision. Meetings forced by the
+    /// step are appended to [`Runtime::meetings`]; `Some(end)` means the
+    /// run is over and no action was taken this call (for
+    /// `Cutoff`/`AllParked`) or the configured stop fired (`Meeting`).
     ///
-    /// [`Runtime::run`] and [`Runtime::run_with_policy`] are loops over
-    /// `step`, so callers driving a run step-by-step — the perf harness's
-    /// checkpointing loop, the snapshot-detour golden suites — stay in
-    /// lockstep with them by construction.
+    /// The run loop is a loop over `step`, so callers driving a run
+    /// step-by-step — the snapshot-detour golden suites — stay in
+    /// lockstep with it by construction.
     pub fn step(&mut self, adversary: &mut dyn crate::adversary::Adversary) -> Option<RunEnd> {
         if self.total_traversals >= self.config.max_total_traversals {
             return Some(RunEnd::Cutoff);
@@ -1133,18 +1038,14 @@ impl<'g, B: Behavior> Runtime<'g, B> {
         None
     }
 
-    /// Runs under `adversary` until a terminal condition (see [`RunEnd`]).
+    /// Runs under `adversary` until a terminal condition (see [`RunEnd`]):
+    /// [`Runtime::run_with_policy`] under a policy that never fires.
     ///
     /// The returned outcome's meeting list is an O(1) handle onto the
     /// runtime's copy-on-write log — constructing the outcome costs
     /// O(agents) however many meetings the run declared.
     pub fn run(&mut self, adversary: &mut dyn crate::adversary::Adversary) -> RunOutcome {
-        let end = loop {
-            if let Some(end) = self.step(adversary) {
-                break end;
-            }
-        };
-        self.outcome(end)
+        self.run_with_policy(adversary, &mut NeverStop)
     }
 
     /// Earliest action at which an outage currently blocking a live
@@ -1279,11 +1180,11 @@ impl<'g, B: Behavior> Runtime<'g, B> {
     /// [`crate::stop::StopPolicy::cadence`] adversary actions (and once
     /// before the first action, so priming policies observe the start).
     ///
-    /// Between policy checks this is [`Runtime::run`]'s exact loop —
-    /// decision for decision — and policy checks are pure reads, so a run
-    /// whose policy never fires is bit-identical to a plain `run()`. The
+    /// Between policy checks this loops over [`Runtime::step`], decision
+    /// for decision, and policy checks are pure reads, so a run whose
+    /// policy never fires is bit-identical to a plain `run()`. The
     /// config's traversal budget ([`RunConfig::with_cutoff`]) stays active
-    /// as the hard backstop.
+    /// as the run's one cutoff.
     pub fn run_with_policy(
         &mut self,
         adversary: &mut dyn crate::adversary::Adversary,
@@ -1303,13 +1204,30 @@ impl<'g, B: Behavior> Runtime<'g, B> {
                 if let Some(end) = policy.check(&self.progress()) {
                     break end;
                 }
-                next_check = self.actions + cadence;
+                // Saturating: a runtime restored mid-stream starts with
+                // `actions > 0`, and a cadence of `u64::MAX` means "never
+                // again", not an overflow.
+                next_check = self.actions.saturating_add(cadence);
             }
             if let Some(end) = self.step(adversary) {
                 break end;
             }
         };
         self.outcome(end)
+    }
+}
+
+/// The policy behind [`Runtime::run`]: checked once before the first
+/// action, never fires, never asks again.
+struct NeverStop;
+
+impl crate::stop::StopPolicy for NeverStop {
+    fn cadence(&self) -> u64 {
+        u64::MAX
+    }
+
+    fn check(&mut self, _: &crate::stop::Progress) -> Option<RunEnd> {
+        None
     }
 }
 
@@ -1431,6 +1349,38 @@ mod tests {
             "RunOutcome must hand out the COW log, not a deep copy"
         );
         assert_eq!(out.meetings.len(), rt.meetings().len());
+    }
+
+    /// A cadence of `u64::MAX` means "check once, never again" — also on
+    /// a runtime restored mid-stream, whose action counter starts above
+    /// zero (the next-check sum must saturate, not overflow).
+    #[test]
+    fn max_cadence_policy_on_a_restored_runtime_matches_run() {
+        struct Silent;
+        impl crate::stop::StopPolicy for Silent {
+            fn cadence(&self) -> u64 {
+                u64::MAX
+            }
+            fn check(&mut self, _: &crate::stop::Progress) -> Option<RunEnd> {
+                None
+            }
+        }
+        let g = generators::ring(6);
+        let mut rt = Runtime::new(&g, two_walkers(&g), RunConfig::rendezvous());
+        step_n(&mut rt, 3);
+        let snap = rt.snapshot();
+        assert_eq!(snap.actions(), 3);
+        let render = |out: RunOutcome| {
+            format!(
+                "{:?} {} {} {:?} {:?}",
+                out.end, out.total_traversals, out.actions, out.per_agent, out.meetings
+            )
+        };
+        let mut plain = Runtime::from_snapshot(&g, &snap, RunConfig::rendezvous());
+        let expected = render(plain.run(&mut RoundRobin::new()));
+        let mut policed = Runtime::from_snapshot(&g, &snap, RunConfig::rendezvous());
+        let got = render(policed.run_with_policy(&mut RoundRobin::new(), &mut Silent));
+        assert_eq!(got, expected);
     }
 
     #[test]

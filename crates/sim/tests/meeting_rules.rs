@@ -3,7 +3,9 @@
 
 use rv_graph::{generators, EdgeId, NodeId};
 use rv_sim::adversary::{Adversary, GreedyAvoid};
-use rv_sim::{ActionKind, Choice, ChoiceInfo, MeetingPlace, RunConfig, Runtime, ScriptBehavior};
+use rv_sim::{
+    ActionKind, Choice, ChoiceInfo, Meeting, MeetingPlace, RunConfig, Runtime, ScriptBehavior,
+};
 
 /// A scripted adversary replaying a fixed action list (panics if illegal).
 #[allow(dead_code)] // scaffold for hand-scripted schedules
@@ -19,6 +21,13 @@ impl Adversary for Scripted {
         );
         c
     }
+}
+
+/// Applies `choice` and returns the meetings it appended to the log.
+fn apply(rt: &mut Runtime<ScriptBehavior>, choice: Choice) -> Vec<Meeting> {
+    let before = rt.meetings().len();
+    rt.apply_into(choice);
+    rt.meetings().iter().skip(before).cloned().collect()
 }
 
 fn wake(agent: usize) -> Choice {
@@ -52,9 +61,9 @@ fn opposite_directions_meet_inside_edge() {
     ];
     let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous());
     for c in [wake(0), wake(1), start(0)] {
-        assert!(rt.apply(c).is_empty());
+        assert!(apply(&mut rt, c).is_empty());
     }
-    let meetings = rt.apply(start(1));
+    let meetings = apply(&mut rt, start(1));
     assert_eq!(meetings.len(), 1);
     assert_eq!(meetings[0].agents, vec![0, 1]);
     assert_eq!(
@@ -79,27 +88,27 @@ fn same_direction_overtake_meets_but_gap_does_not() {
     ];
     let mut rt = Runtime::new(&g, agents, RunConfig::protocol());
     for c in [wake(1), wake(0)] {
-        rt.apply(c);
+        apply(&mut rt, c);
     }
     // B walks 0→1. A is still at node 1 → node-contact meeting there.
-    rt.apply(start(1));
-    let m = rt.apply(finish(1));
+    apply(&mut rt, start(1));
+    let m = apply(&mut rt, finish(1));
     assert_eq!(m.len(), 1, "B arrives at node 1 where A stands");
     // A enters edge 1→2; B follows (same direction): no forced meeting.
-    assert!(rt.apply(start(0)).is_empty());
+    assert!(apply(&mut rt, start(0)).is_empty());
     assert!(
-        rt.apply(start(1)).is_empty(),
+        apply(&mut rt, start(1)).is_empty(),
         "same direction entry is safe"
     );
     // B (entered second) finishes first: it must overtake A → meeting.
-    let m = rt.apply(finish(1));
+    let m = apply(&mut rt, finish(1));
     assert_eq!(m.len(), 1);
     assert_eq!(
         m[0].place,
         MeetingPlace::Edge(EdgeId::new(NodeId(1), NodeId(2)))
     );
     // A then finishes; B is at node 2 → node meeting.
-    let m = rt.apply(finish(0));
+    let m = apply(&mut rt, finish(0));
     assert_eq!(m.len(), 1);
     assert_eq!(m[0].place, MeetingPlace::Node(NodeId(2)));
 }
@@ -120,13 +129,16 @@ fn same_direction_fifo_exit_is_meeting_free() {
     ];
     let mut rt = Runtime::new(&g, agents, RunConfig::protocol());
     for c in [wake(0), wake(1), start(0)] {
-        rt.apply(c);
+        apply(&mut rt, c);
     }
     // A (agent 0) enters 1→2 first and leaves; B enters after A started.
-    rt.apply(start(1)); // B starts 0→1
-    assert!(rt.apply(finish(0)).is_empty(), "front agent exits cleanly");
+    apply(&mut rt, start(1)); // B starts 0→1
+    assert!(
+        apply(&mut rt, finish(0)).is_empty(),
+        "front agent exits cleanly"
+    );
     // B arrives at 1 (A has left node 2... node 1 empty) — no meeting.
-    assert!(rt.apply(finish(1)).is_empty());
+    assert!(apply(&mut rt, finish(1)).is_empty());
 }
 
 /// A traversal into a node holding a sleeping agent wakes it and meets it.
@@ -138,9 +150,9 @@ fn visiting_a_dormant_agent_wakes_and_meets_it() {
         ScriptBehavior::new(NodeId(1), [0]),
     ];
     let mut rt = Runtime::new(&g, agents, RunConfig::rendezvous());
-    rt.apply(wake(0));
-    rt.apply(start(0));
-    let m = rt.apply(finish(0));
+    apply(&mut rt, wake(0));
+    apply(&mut rt, start(0));
+    let m = apply(&mut rt, finish(0));
     assert_eq!(
         m.len(),
         1,
@@ -172,11 +184,11 @@ fn cost_counts_completed_traversals() {
         ScriptBehavior::new(NodeId(2), []),
     ];
     let mut rt = Runtime::new(&g, agents, RunConfig::protocol());
-    rt.apply(wake(0));
-    rt.apply(wake(1));
-    rt.apply(start(0));
+    apply(&mut rt, wake(0));
+    apply(&mut rt, wake(1));
+    apply(&mut rt, start(0));
     assert_eq!(rt.total_traversals(), 0, "starting is not a traversal");
-    rt.apply(finish(0));
+    apply(&mut rt, finish(0));
     assert_eq!(rt.total_traversals(), 1);
     assert_eq!(rt.traversals(0), 1);
     assert_eq!(rt.traversals(1), 0);

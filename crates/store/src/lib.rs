@@ -23,8 +23,8 @@
 //!   single scan on open, duplicate keys resolved last-writer-wins, and a
 //!   torn final record tolerated by truncate-and-continue. Writes go
 //!   through [`write_atomic`] (temp + rename in the segment's own
-//!   directory), generalising the whole-prefix checkpoint rewrite the
-//!   durable sweeps of `docs/FAULTS.md` introduced.
+//!   directory), which is what makes sweeps durable (`docs/FAULTS.md`):
+//!   a SIGKILL leaves the old or the new complete segment.
 //! * [`content_hash`] / [`write_atomic`] — the shared hashing and atomic
 //!   I/O primitives (the experiment binaries re-export and reuse both).
 
@@ -72,9 +72,9 @@ fn splitmix_finalize(mut z: u64) -> u64 {
 /// Writes `contents` to `path` **atomically**: the bytes land in a
 /// temporary file in the same directory (same filesystem, so the rename
 /// is atomic), then replace the destination in one `rename`. A reader —
-/// or a resumed sweep — therefore only ever sees the old complete file
-/// or the new complete file, never a torn prefix, whatever signal kills
-/// the writer mid-write. All JSON-lines output of the experiment
+/// or a sweep rerun after a kill — therefore only ever sees the old
+/// complete file or the new complete file, never a torn prefix, whatever
+/// signal kills the writer mid-write. All JSON-lines output of the experiment
 /// binaries and every segment write of [`Store`] goes through here.
 pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
     let path = path.as_ref();
@@ -126,9 +126,8 @@ pub struct OpenReport {
 pub struct Store {
     path: PathBuf,
     /// The full segment bytes (magic + every valid record). Kept in
-    /// memory so each append can rewrite the segment atomically — the
-    /// whole-prefix durability discipline of the checkpoint machinery,
-    /// generalised. Sweep populations are small (hundreds of rows, a few
+    /// memory so each append can rewrite the segment atomically, whole
+    /// prefix and all (see [`write_atomic`]). Sweep populations are small (hundreds of rows, a few
     /// hundred bytes each); a million-cell store wants streamed appends
     /// and is the documented compaction/scale-out path, not this struct.
     segment: Vec<u8>,
